@@ -8,6 +8,7 @@
 * :mod:`repro.core.baselines` — DGL-KE and PyTorch-BigGraph reimplementations.
 * :mod:`repro.core.evaluation` — filtered link-prediction metrics.
 * :mod:`repro.core.convergence` — loss/metric-vs-time tracking.
+* :mod:`repro.core.tally` — per-run accounting (what one ``train()`` did).
 """
 
 from repro.core.config import TrainingConfig

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.compute import compute_batch_gradients
 from repro.core.config import TrainingConfig
-from repro.core.convergence import HistoryPoint, TrainingHistory
+from repro.core.convergence import HistoryPoint, TrainingHistory, epoch_metrics
 from repro.core.evaluation import LinkPredictionResult, evaluate_link_prediction
 from repro.core.trainer import HETKGTrainer, TrainResult
 from repro.kg.graph import KnowledgeGraph
@@ -256,21 +256,10 @@ class PBGTrainer:
                 )
                 for p in set(key):
                     part_ready[p] = clock.elapsed - clock_base[machine].elapsed
-            metrics: dict[str, float] = {}
-            is_last = epoch == cfg.epochs
-            due = eval_every is not None and epoch % eval_every == 0
-            if eval_graph is not None and (due or is_last):
-                result = self.evaluate(
-                    eval_graph,
-                    filter_set=filter_set,
-                    max_queries=eval_max_queries,
-                    num_candidates=eval_candidates,
-                )
-                metrics = {
-                    "mrr": result.mrr,
-                    "mr": result.mr,
-                    **{f"hits@{k}": v for k, v in result.hits.items()},
-                }
+            metrics = epoch_metrics(
+                self, epoch, eval_graph, eval_every, filter_set,
+                eval_max_queries, eval_candidates,
+            )
             history.append(
                 HistoryPoint(
                     epoch=epoch,

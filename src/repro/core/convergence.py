@@ -10,6 +10,27 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+def epoch_metrics(
+    trainer, epoch, eval_graph, eval_every, filter_set, max_queries, num_candidates
+) -> dict[str, float]:
+    """The link-prediction metrics due after ``epoch`` (``{}`` if none):
+    every ``eval_every`` epochs and after the last, given an ``eval_graph``."""
+    due = eval_every is not None and epoch % eval_every == 0
+    if eval_graph is None or not (due or epoch == trainer.config.epochs):
+        return {}
+    result = trainer.evaluate(
+        eval_graph,
+        filter_set=filter_set,
+        max_queries=max_queries,
+        num_candidates=num_candidates,
+    )
+    return {
+        "mrr": result.mrr,
+        "mr": result.mr,
+        **{f"hits@{k}": v for k, v in result.hits.items()},
+    }
+
+
 @dataclass
 class HistoryPoint:
     """State at the end of one epoch."""

@@ -64,8 +64,9 @@ class Telemetry:
     memory_reports: list[dict] = field(default_factory=list)
     #: Named monotone counters (e.g. ``false_negative_leaks``,
     #: ``neg_cache_refreshes``) — yet another separate channel, so the
-    #: per-step CSV schema stays frozen while subsystems report rare
-    #: incidents without one row per occurrence.
+    #: per-step CSV schema stays frozen while rare incidents are counted
+    #: without one row per occurrence.  Trainers add each ``train()``
+    #: call's :meth:`repro.core.tally.RunTally.counters` at its end.
     counters: dict[str, int] = field(default_factory=dict)
 
     def add(self, record: IterationRecord) -> None:
@@ -74,12 +75,14 @@ class Telemetry:
     def add_event(self, event: FaultEvent) -> None:
         self.events.append(event)
 
-    def bump(self, name: str, by: int = 1) -> None:
-        """Increment the named counter (created at 0 on first use)."""
-        self.counters[name] = self.counters.get(name, 0) + int(by)
+    def record_counters(self, counters: dict[str, int]) -> None:
+        """Add one run's counter deltas (zero entries create nothing)."""
+        for name, value in counters.items():
+            if value:
+                self.counters[name] = self.counters.get(name, 0) + int(value)
 
     def counter(self, name: str) -> int:
-        """Current value of the named counter (0 if never bumped)."""
+        """Current value of the named counter (0 if never recorded)."""
         return self.counters.get(name, 0)
 
     def record_memory(self, report: dict) -> None:

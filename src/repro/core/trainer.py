@@ -24,7 +24,8 @@ from repro.cache.strategies import (
 )
 from repro.cache.sync import HotEmbeddingCache
 from repro.core.config import TrainingConfig
-from repro.core.convergence import HistoryPoint, TrainingHistory
+from repro.core.convergence import HistoryPoint, TrainingHistory, epoch_metrics
+from repro.core.tally import RunTally
 from repro.core.telemetry import Telemetry
 from repro.core.evaluation import LinkPredictionResult, evaluate_link_prediction
 from repro.core.worker import Worker
@@ -439,23 +440,9 @@ class HETKGTrainer:
         history = TrainingHistory()
         iterations = max(w.sampler.batches_per_epoch for w in self.workers)
 
-        # Accounting snapshot: every train() call reports only the traffic
-        # and simulated time *it* generated, so calling train() repeatedly
-        # (warm restarts, continued training) cannot inflate the books
-        # with a previous run's totals.
-        comm_base = self.network.totals.copy()
-        clock_base = [w.clock.copy() for w in self.workers]
-        leak_base = [
-            w.sampler.negative_sampler.false_negative_leaks for w in self.workers
-        ]
-        scored_base = [w.scored_candidates for w in self.workers]
-        neg_comm_base = [w.neg_cache_comm.copy() for w in self.workers]
-        neg_counter_base = [
-            w.neg_cache.counters() if w.neg_cache is not None else {}
-            for w in self.workers
-        ]
-        tier = self.server.store.tier
-        tier_base = tier.clock.elapsed if tier is not None else 0.0
+        # Every train() call reports only what *it* did (see
+        # repro.core.tally), so repeated calls do not inflate the books.
+        base = self.tally()
         wall_start = time.perf_counter()
 
         for worker in self.workers:
@@ -475,102 +462,48 @@ class HETKGTrainer:
                 if checkpoints is not None:
                     checkpoints.maybe_snapshot(global_iteration)
 
-            metrics: dict[str, float] = {}
-            is_last = epoch == cfg.epochs
-            due = eval_every is not None and epoch % eval_every == 0
-            if eval_graph is not None and (due or is_last):
-                result = self.evaluate(
-                    eval_graph,
-                    filter_set=filter_set,
-                    max_queries=eval_max_queries,
-                    num_candidates=eval_candidates,
-                )
-                metrics = {
-                    "mrr": result.mrr,
-                    "mr": result.mr,
-                    **{f"hits@{k}": v for k, v in result.hits.items()},
-                }
+            metrics = epoch_metrics(
+                self, epoch, eval_graph, eval_every, filter_set,
+                eval_max_queries, eval_candidates,
+            )
             history.append(
                 HistoryPoint(
                     epoch=epoch,
-                    sim_time=max(
-                        w.clock.elapsed - base.elapsed
-                        for w, base in zip(self.workers, clock_base)
-                    ),
+                    sim_time=self.tally().since(base).slowest.clock.elapsed,
                     loss=float(np.mean(losses)) if losses else 0.0,
                     metrics=metrics,
                 )
             )
 
-        slowest_i = max(
-            range(len(self.workers)),
-            key=lambda i: self.workers[i].clock.elapsed - clock_base[i].elapsed,
-        )
-        slowest = self.workers[slowest_i]
-        base = clock_base[slowest_i]
-        hit_ratios = [w.cache_hit_ratio() for w in self.workers]
+        run = self.tally().since(base)
         fault_stats: dict[str, float] = {}
         if injector is not None:
             fault_stats = injector.stats.as_dict()
-            fault_stats["recovery_time"] = sum(
-                w.clock.category("recovery") - base.category("recovery")
-                for w, base in zip(self.workers, clock_base)
-            )
+            fault_stats["recovery_time"] = run.category_sum("recovery")
         if checkpoints is not None:
             fault_stats["checkpoints"] = checkpoints.saves
         memory_report = self.server.store.memory_report()
         if telemetry is not None:
             telemetry.record_memory(memory_report)
-        neg_cache_stats: dict = {}
-        if any(w.neg_cache is not None for w in self.workers):
-            refresh_comm = CommRecord()
-            counter_totals: dict[str, int] = {}
-            cache_keys = 0
-            for w, comm_b, counter_b in zip(
-                self.workers, neg_comm_base, neg_counter_base
-            ):
-                if w.neg_cache is None:
-                    continue
-                refresh_comm.merge(w.neg_cache_comm.difference(comm_b))
-                cache_keys += w.neg_cache.num_keys
-                for key, value in w.neg_cache.counters().items():
-                    counter_totals[key] = (
-                        counter_totals.get(key, 0) + value - counter_b.get(key, 0)
-                    )
-            neg_cache_stats = {
-                **counter_totals,
-                "cache_keys": cache_keys,
-                "refresh_bytes": refresh_comm.total_bytes,
-                "refresh_remote_bytes": refresh_comm.remote_bytes,
-                "refresh_messages": refresh_comm.total_messages,
-                "neg_cache_time": slowest.clock.category("neg_cache")
-                - base.category("neg_cache"),
-            }
+            telemetry.record_counters(run.counters())
         return TrainResult(
             config=cfg,
             system=self.system_name,
             history=history,
-            sim_time=slowest.clock.elapsed - base.elapsed,
-            compute_time=slowest.clock.category("compute")
-            - base.category("compute"),
-            communication_time=slowest.clock.category("communication")
-            - base.category("communication"),
-            comm_totals=self.network.totals.difference(comm_base),
-            cache_hit_ratio=float(np.mean(hit_ratios)) if hit_ratios else 0.0,
             final_metrics=history.points[-1].metrics if history.points else {},
             fault_stats=fault_stats,
-            tier_time=(tier.clock.elapsed - tier_base) if tier is not None else 0.0,
+            tier_time=run.tier_elapsed,
             memory_report=memory_report,
             wall_time_s=time.perf_counter() - wall_start,
-            false_negative_leaks=sum(
-                w.sampler.negative_sampler.false_negative_leaks - b
-                for w, b in zip(self.workers, leak_base)
-            ),
-            scored_candidates=sum(
-                w.scored_candidates - b
-                for w, b in zip(self.workers, scored_base)
-            ),
-            neg_cache_stats=neg_cache_stats,
+            **run.result_fields(),
+        )
+
+    def tally(self) -> RunTally:
+        """Snapshot this trainer's accounting (see :mod:`repro.core.tally`)."""
+        assert self.server is not None
+        tier = self.server.store.tier
+        return RunTally.take(
+            self.workers, self.network, tier.clock if tier is not None else None
         )
 
     # ----------------------------------------------------------------- train_mp

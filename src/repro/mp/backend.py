@@ -34,11 +34,10 @@ import time
 
 import numpy as np
 
-from repro.core.convergence import HistoryPoint, TrainingHistory
+from repro.core.convergence import HistoryPoint, TrainingHistory, epoch_metrics
+from repro.core.tally import RunTally
 from repro.mp.shm import SharedArena
 from repro.mp.worker import MPControls, WorkerSpec, worker_main
-from repro.ps.network import CommRecord
-from repro.utils.simclock import SimClock
 
 #: Seconds between liveness checks while waiting on children.
 _POLL_S = 0.1
@@ -116,8 +115,6 @@ def run_mp_training(
     procs: list = []
     controls: MPControls | None = None
     history = TrainingHistory()
-    telemetry_records: list = []
-    summaries: dict[int, dict] = {}
     wall_start = time.perf_counter()
     try:
         # ---- move the global state into shared memory -------------------
@@ -180,21 +177,10 @@ def run_mp_training(
                 for i in range(iterations)
                 for rank in range(num_workers)
             ]
-            metrics: dict[str, float] = {}
-            is_last = epoch == cfg.epochs
-            due = eval_every is not None and epoch % eval_every == 0
-            if eval_graph is not None and (due or is_last):
-                result = trainer.evaluate(
-                    eval_graph,
-                    filter_set=filter_set,
-                    max_queries=eval_max_queries,
-                    num_candidates=eval_candidates,
-                )
-                metrics = {
-                    "mrr": result.mrr,
-                    "mr": result.mr,
-                    **{f"hits@{k}": v for k, v in result.hits.items()},
-                }
+            metrics = epoch_metrics(
+                trainer, epoch, eval_graph, eval_every, filter_set,
+                eval_max_queries, eval_candidates,
+            )
             history.append(
                 HistoryPoint(
                     epoch=epoch,
@@ -207,37 +193,44 @@ def run_mp_training(
 
         # ---- final reports ---------------------------------------------
         done = _collect(controls, procs, "done", num_workers, deadline, stash)
-        summaries = {rank: payload[0] for rank, payload in done.items()}
         for proc in procs:
             proc.join(timeout=max(0.0, deadline - time.monotonic()))
         wall_time_s = time.perf_counter() - wall_start
         memory_report = store.memory_report()
+        run = RunTally.merge([done[rank][0] for rank in range(num_workers)])
 
         if telemetry is not None:
-            for rank in range(num_workers):
-                telemetry_records.extend(summaries[rank]["telemetry"])
-                for name, value in summaries[rank].get(
-                    "telemetry_counters", {}
-                ).items():
-                    telemetry.bump(name, value)
             # Restore the simulator's global step order (cumulative
             # per-worker iteration, then worker position).
-            telemetry_records.sort(
-                key=lambda r: (r.iteration, rank_of[r.worker])
+            telemetry.records.extend(
+                sorted(
+                    (r for rank in range(num_workers) for r in done[rank][2]),
+                    key=lambda r: (r.iteration, rank_of[r.worker]),
+                )
             )
-            telemetry.records.extend(telemetry_records)
             telemetry.record_memory(memory_report)
+            telemetry.record_counters(run.counters())
 
-        return _assemble_result(
-            TrainResult,
-            cfg,
-            trainer,
-            history,
-            summaries,
-            num_workers,
-            schedule,
-            wall_time_s,
-            memory_report,
+        worker_wall = {}
+        for rank, w in enumerate(run.workers):
+            # Simulated counterparts, so repro.obs.reconcile can line the
+            # model's prediction up against this worker's measurements.
+            worker_wall[w.machine] = {
+                **done[rank][1],
+                "sim_elapsed": w.clock.elapsed,
+                "sim_comm": w.clock.category("communication"),
+                "sim_compute": w.clock.category("compute"),
+            }
+        return TrainResult(
+            config=cfg,
+            system=trainer.system_name,
+            history=history,
+            final_metrics=history.points[-1].metrics if history.points else {},
+            memory_report=memory_report,
+            backend=f"mp/{schedule}",
+            wall_time_s=wall_time_s,
+            worker_wall=worker_wall,
+            **run.result_fields(),
         )
     except BaseException:
         _abort(controls, procs)
@@ -369,77 +362,3 @@ def _stashed(stash: dict[str, list] | None, rank: int) -> bool:
     if not stash:
         return False
     return any(m[1] == rank for messages in stash.values() for m in messages)
-
-
-def _assemble_result(
-    result_cls,
-    cfg,
-    trainer,
-    history,
-    summaries: dict[int, dict],
-    num_workers: int,
-    schedule: str,
-    wall_time_s: float,
-    memory_report: dict,
-):
-    clocks = []
-    comm_totals = CommRecord()
-    hit_ratios = []
-    worker_wall: dict[int, dict] = {}
-    leaks = 0
-    scored = 0
-    neg_counters: dict[str, int] = {}
-    neg_comm = CommRecord()
-    for rank in range(num_workers):
-        s = summaries[rank]
-        clocks.append(SimClock(s["clock_elapsed"], dict(s["clock_by_category"])))
-        comm_totals.merge(CommRecord(**s["comm_totals"]))
-        hit_ratios.append(s["cache_hit_ratio"])
-        leaks += s.get("false_negative_leaks", 0)
-        scored += s.get("scored_candidates", 0)
-        for name, value in s.get("neg_cache", {}).items():
-            neg_counters[name] = neg_counters.get(name, 0) + value
-        neg_comm.merge(CommRecord(**s.get("neg_cache_comm", {})))
-        worker_wall[s["machine"]] = {
-            "wall_s": s["wall_s"],
-            "stall_s": s["stall_s"],
-            "stalls": s["stalls"],
-            "comm_wall_s": s["comm_wall_s"],
-            "comm_calls": s["comm_calls"],
-            "steps": s["steps"],
-            "staleness_overruns": s["staleness_overruns"],
-            "max_staleness_overrun": s["max_staleness_overrun"],
-            # Simulated counterparts, so repro.obs.reconcile can line the
-            # model's prediction up against this worker's measurements.
-            "sim_elapsed": s["clock_elapsed"],
-            "sim_comm": dict(s["clock_by_category"]).get("communication", 0.0),
-            "sim_compute": dict(s["clock_by_category"]).get("compute", 0.0),
-        }
-    slowest = max(clocks, key=lambda c: c.elapsed)
-    neg_cache_stats: dict = {}
-    if neg_counters:
-        neg_cache_stats = {
-            **neg_counters,
-            "refresh_bytes": neg_comm.total_bytes,
-            "refresh_remote_bytes": neg_comm.remote_bytes,
-            "refresh_messages": neg_comm.total_messages,
-            "neg_cache_time": slowest.category("neg_cache"),
-        }
-    return result_cls(
-        config=cfg,
-        system=trainer.system_name,
-        history=history,
-        sim_time=slowest.elapsed,
-        compute_time=slowest.category("compute"),
-        communication_time=slowest.category("communication"),
-        comm_totals=comm_totals,
-        cache_hit_ratio=float(np.mean(hit_ratios)) if hit_ratios else 0.0,
-        final_metrics=history.points[-1].metrics if history.points else {},
-        memory_report=memory_report,
-        backend=f"mp/{schedule}",
-        wall_time_s=wall_time_s,
-        worker_wall=worker_wall,
-        false_negative_leaks=leaks,
-        scored_candidates=scored,
-        neg_cache_stats=neg_cache_stats,
-    )

@@ -73,10 +73,13 @@ class OnlineTrainResult:
     #: Hard-negative cache keys dropped because their anchor entity or
     #: relation lost graph structure to deletions (0 with neg_cache=off).
     neg_cache_keys_invalidated: int = 0
-    #: Merged hard-negative cache counters + refresh traffic across
-    #: workers (empty dict with neg_cache=off) — same shape as
+    #: This call's hard-negative cache counters + refresh traffic summed
+    #: over workers (empty dict with neg_cache=off) — same shape as
     #: :attr:`repro.core.trainer.TrainResult.neg_cache_stats`.
     neg_cache_stats: dict = field(default_factory=dict)
+    #: Same meaning as the :class:`~repro.core.trainer.TrainResult` fields.
+    false_negative_leaks: int = 0
+    scored_candidates: int = 0
     adaptive_rebuilds: int = 0
     extra: dict[str, float] = field(default_factory=dict)
 
@@ -320,10 +323,7 @@ class OnlineTrainer:
         iterations = max(w.sampler.batches_per_epoch for w in trainer.workers)
         total_steps = cfg.epochs * iterations
 
-        comm_base = trainer.network.totals.copy()
-        clock_base = {
-            w.machine: w.clock.copy() for w in trainer.workers
-        }
+        base = trainer.tally()
 
         for worker in trainer.workers:
             worker.start()
@@ -347,49 +347,16 @@ class OnlineTrainer:
         if self.eval_every is None and self.evaluator.holdout_size:
             self._evaluate(total_steps)
 
-        workers = trainer.workers
-        elapsed = {
-            w.machine: w.clock.elapsed - clock_base[w.machine].elapsed
-            for w in workers
-        }
-        slowest = max(workers, key=lambda w: elapsed[w.machine])
-        base = clock_base[slowest.machine]
-        hit_ratios = [w.cache_hit_ratio() for w in workers]
+        run = trainer.tally().since(base)
         rebuilds = sum(
             w.strategy.rebuilds
-            for w in workers
+            for w in trainer.workers
             if isinstance(w.strategy, AdaptiveStale)
         )
-        neg_cache_stats: dict = {}
-        if any(w.neg_cache is not None for w in workers):
-            refresh_comm = CommRecord()
-            for w in workers:
-                if w.neg_cache is None:
-                    continue
-                for name, value in w.neg_cache.counters().items():
-                    neg_cache_stats[name] = neg_cache_stats.get(name, 0) + value
-                neg_cache_stats["cache_keys"] = (
-                    neg_cache_stats.get("cache_keys", 0) + w.neg_cache.num_keys
-                )
-                refresh_comm.merge(w.neg_cache_comm)
-            neg_cache_stats["refresh_bytes"] = refresh_comm.total_bytes
-            neg_cache_stats["refresh_remote_bytes"] = refresh_comm.remote_bytes
-            neg_cache_stats["refresh_messages"] = refresh_comm.total_messages
-            neg_cache_stats["neg_cache_time"] = slowest.clock.category(
-                "neg_cache"
-            ) - base.category("neg_cache")
         return OnlineTrainResult(
             system=trainer.system_name,
             steps=total_steps,
-            sim_time=elapsed[slowest.machine],
-            compute_time=slowest.clock.category("compute")
-            - base.category("compute"),
-            communication_time=slowest.clock.category("communication")
-            - base.category("communication"),
-            ingest_time=slowest.clock.category("ingest")
-            - base.category("ingest"),
-            comm_totals=trainer.network.totals.difference(comm_base),
-            cache_hit_ratio=float(np.mean(hit_ratios)) if hit_ratios else 0.0,
+            ingest_time=run.slowest.clock.category("ingest"),
             mean_loss=float(np.mean(losses)) if losses else 0.0,
             prequential=self.evaluator.result,
             updates_applied=self.updates_applied,
@@ -399,8 +366,8 @@ class OnlineTrainer:
             relations_added=self.relations_added,
             cache_rows_invalidated=self.cache_rows_invalidated,
             neg_cache_keys_invalidated=self.neg_cache_keys_invalidated,
-            neg_cache_stats=neg_cache_stats,
             adaptive_rebuilds=rebuilds,
+            **run.result_fields(),
         )
 
     # ------------------------------------------------------------------ evals

@@ -140,16 +140,38 @@ class TestRepeatedTrainCalls:
             first.communication_time
         )
 
-    def test_second_train_not_cumulative_with_cache(self, small_split):
+    @staticmethod
+    def _train_twice_with_cache(trainer, graph):
         """With a DPS cache batches differ across calls (rng advances), so
         assert the second call is *close to* the first — not ~2x it."""
-        trainer = HETKGTrainer(config())
-        first = trainer.train(small_split.train)
-        second = trainer.train(small_split.train)
+        first = trainer.train(graph)
+        second = trainer.train(graph)
         assert second.comm_totals.total_bytes < 1.5 * first.comm_totals.total_bytes
         assert second.sim_time < 1.5 * first.sim_time
         assert second.history.points[-1].sim_time == pytest.approx(
             second.sim_time
+        )
+        # Counters are exactly the lifetime total minus the first call's.
+        lifetime = sum(w.scored_candidates for w in trainer.workers)
+        assert second.scored_candidates == lifetime - first.scored_candidates
+        return first, second
+
+    def test_second_train_not_cumulative_with_cache(self, small_split):
+        trainer = HETKGTrainer(config())
+        first, second = self._train_twice_with_cache(trainer, small_split.train)
+        assert first.neg_cache_stats == second.neg_cache_stats == {}
+
+    def test_second_train_not_cumulative_with_neg_cache(self, small_split):
+        trainer = HETKGTrainer(config(neg_cache="nscaching"))
+        first, second = self._train_twice_with_cache(trainer, small_split.train)
+        for name in trainer.workers[0].neg_cache.counters():
+            lifetime = sum(w.neg_cache.counters()[name] for w in trainer.workers)
+            assert 0 < second.neg_cache_stats[name] == (
+                lifetime - first.neg_cache_stats[name]
+            ), name
+        refresh_bytes = sum(w.neg_cache_comm.total_bytes for w in trainer.workers)
+        assert second.neg_cache_stats["refresh_bytes"] == (
+            refresh_bytes - first.neg_cache_stats["refresh_bytes"]
         )
 
     def test_pbg_second_train_reports_equal_totals(self):

@@ -321,10 +321,12 @@ class TestSyncBitIdentity:
         from repro.core.telemetry import Telemetry
 
         _, split = mp_data
-        sim = make_trainer("hetkg-d", mp_config(epochs=1))
+        # The hard-negative cache gives the named counters something to count.
+        config = mp_config(epochs=1, neg_cache="nscaching")
+        sim = make_trainer("hetkg-d", config)
         t_sim = Telemetry()
         sim.train(split.train, telemetry=t_sim)
-        mp = make_trainer("hetkg-d", mp_config(epochs=1))
+        mp = make_trainer("hetkg-d", config)
         t_mp = Telemetry()
         mp.train_mp(
             split.train,
@@ -339,6 +341,8 @@ class TestSyncBitIdentity:
                 b.iteration,
                 b.loss,
             )
+        assert t_sim.counter("neg_cache_refreshes") > 0
+        assert t_mp.counters == t_sim.counters
 
 
 # ----------------------------------------------------------- async schedule

@@ -420,12 +420,9 @@ class TestMpSyncBitIdentity:
                 mp.server.store.table(kind),
                 err_msg=f"{kind} tables diverged between sim and mp/sync",
             )
-        assert r_mp.neg_cache_stats["refreshes"] == (
-            r_sim.neg_cache_stats["refreshes"]
-        )
-        assert r_mp.neg_cache_stats["candidates_scored"] == (
-            r_sim.neg_cache_stats["candidates_scored"]
-        )
+        assert r_sim.neg_cache_stats["refreshes"] > 0
+        assert r_mp.neg_cache_stats == r_sim.neg_cache_stats
+        assert r_mp.false_negative_leaks == r_sim.false_negative_leaks
         assert r_mp.scored_candidates == r_sim.scored_candidates
 
 

@@ -344,6 +344,36 @@ class TestOnlineTraining:
         )
 
 
+    def test_reports_only_its_own_neg_cache_work(self):
+        """Regression: an online run on an already-trained trainer reported
+        the hard-negative cache's lifetime counters and refresh bytes next
+        to its per-call comm_totals, so its refreshes came out doubled."""
+        from repro.kg.datasets import generate_dataset
+
+        graph = generate_dataset("fb15k", scale=0.02, seed=3)
+        trainer = make_trainer(
+            "hetkg-d", quick_config(epochs=1, neg_cache="nscaching")
+        )
+        static = trainer.train(graph)
+        stream = make_stream("none", graph, steps=8, seed=0)
+        online = OnlineTrainer(trainer, stream).train(graph)
+        # Same step count, same refresh period: the same number of refreshes.
+        assert online.neg_cache_stats["refreshes"] == (
+            static.neg_cache_stats["refreshes"]
+        ) > 0
+        for name in trainer.workers[0].neg_cache.counters():
+            lifetime = sum(w.neg_cache.counters()[name] for w in trainer.workers)
+            assert online.neg_cache_stats[name] == (
+                lifetime - static.neg_cache_stats[name]
+            ), name
+        refresh_bytes = sum(w.neg_cache_comm.total_bytes for w in trainer.workers)
+        assert online.neg_cache_stats["refresh_bytes"] == (
+            refresh_bytes - static.neg_cache_stats["refresh_bytes"]
+        )
+        scored = sum(w.scored_candidates for w in trainer.workers)
+        assert online.scored_candidates == scored - static.scored_candidates
+
+
 # -------------------------------------------------------------------- wiring
 
 
