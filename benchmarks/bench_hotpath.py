@@ -34,6 +34,12 @@ from repro.cache.filtering import filter_hot_ids  # noqa: E402
 from repro.cache.policies import EvictionPolicy, LFUCache  # noqa: E402
 from repro.cache.prefetch import _fold_counts  # noqa: E402
 from repro.cache.table import CacheTable  # noqa: E402
+from repro.core.evaluation import (  # noqa: E402
+    FilterIndex,
+    _full_ranks_reference,
+    _ranks_batched,
+)
+from repro.models import get_model  # noqa: E402
 from repro.utils.kernels import scatter_add_rows  # noqa: E402
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_core.json"
@@ -247,6 +253,37 @@ def bench_micro(quick: bool) -> dict[str, dict[str, float]]:
         lambda: replay(RefLFUCache),
         vec_reps=3,
         ref_reps=2,
+    )
+
+    # Filtered full ranking: cache-sized gather-free blocks and the CSR
+    # filter against the per-query reference loop (the equivalence oracle).
+    n_ent, n_rel, dim = 1_000, 50, 16
+    model = get_model("transe", dim=dim)
+    ent_table = rng.standard_normal((n_ent, dim))
+    rel_table = rng.standard_normal((n_rel, dim))
+    known = np.column_stack(
+        [
+            rng.integers(0, n_ent, 20_000),
+            rng.integers(0, n_rel, 20_000),
+            rng.integers(0, n_ent, 20_000),
+        ]
+    )
+    filter_index = FilterIndex({tuple(x) for x in known.tolist()})
+    queries = known[:200]
+    ranks = _ranks_batched(model, ent_table, rel_table, queries, False, filter_index)
+    assert ranks == _full_ranks_reference(
+        model, ent_table, rel_table, queries, False, filter_index
+    ), "_ranks_batched diverged from the per-query reference"
+    record(
+        "eval_rank",
+        lambda: _ranks_batched(
+            model, ent_table, rel_table, queries, False, filter_index
+        ),
+        lambda: _full_ranks_reference(
+            model, ent_table, rel_table, queries, False, filter_index
+        ),
+        vec_reps=5,
+        ref_reps=3,
     )
     return ops
 

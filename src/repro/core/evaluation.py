@@ -13,6 +13,7 @@ compared system is scored the same way, preserves relative orderings.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,32 +83,83 @@ def _rank_one_side(
     return 1 + int(better)
 
 
-class FilterIndex:
-    """Per-query lookup of known true triples for filtered ranking.
+#: Bits for the second id of a pair key ``(a << 32) | b``.  Covering every
+#: id below 2**31, not just those in the filter set, keeps keys unique for
+#: query ids the set has never seen (stream runs grow the entity table).
+_PAIR_SHIFT = 32
+_ID_LIMIT = 1 << 31
 
-    Replaces the O(candidates) per-query membership loop with one dict
-    lookup returning the (usually tiny) array of entities that complete a
-    known triple for the query's fixed ``(relation, other-entity)`` pair.
+
+def _pair_key(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (np.asarray(a, dtype=np.int64) << _PAIR_SHIFT) | b
+
+
+class FilterIndex:
+    """Known true triples for filtered ranking, as one CSR map per side.
+
+    Head corruption looks up the query's fixed ``(r, t)`` pair, tail
+    corruption its ``(h, r)`` pair.  Each side sorts the pair keys once;
+    ``offsets[i]:offsets[i + 1]`` slices ``entities`` for the ``i``-th
+    distinct key, ascending.  A block of queries is then one
+    ``searchsorted`` (:meth:`known_pairs`).
     """
 
     def __init__(self, filter_set: set[tuple[int, int, int]]) -> None:
-        heads: dict[tuple[int, int], list[int]] = {}
-        tails: dict[tuple[int, int], list[int]] = {}
-        for h, r, t in filter_set:
-            heads.setdefault((r, t), []).append(h)
-            tails.setdefault((h, r), []).append(t)
-        self._heads = {k: np.asarray(v, dtype=np.int64) for k, v in heads.items()}
-        self._tails = {k: np.asarray(v, dtype=np.int64) for k, v in tails.items()}
-        self._empty = np.empty(0, dtype=np.int64)
+        flat = itertools.chain.from_iterable(filter_set)
+        triples = np.fromiter(flat, np.int64, 3 * len(filter_set)).reshape(-1, 3)
+        if triples.size and (triples.min() < 0 or triples.max() >= _ID_LIMIT):
+            raise ValueError(f"filter ids must lie in [0, {_ID_LIMIT})")
+        h, r, t = triples.T
+        self._sides = {True: _csr(r, t, h), False: _csr(h, r, t)}
+
+    def known_pairs(
+        self, triples: np.ndarray, replace_head: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(row, entity)`` for every known completion of every query.
+
+        ``row`` indexes ``triples``; ``entity`` completes a filter-set triple
+        with that query's fixed pair.  Rows come out ascending, and entities
+        ascending within a row.
+        """
+        keys, offsets, entities = self._sides[replace_head]
+        if replace_head:
+            query = _pair_key(triples[:, 1], triples[:, 2])
+        else:
+            query = _pair_key(triples[:, 0], triples[:, 1])
+        pos = np.searchsorted(keys, query)
+        starts = offsets[pos]
+        counts = np.where(keys[pos] == query, offsets[pos + 1] - starts, 0)
+        rows = np.repeat(np.arange(len(query)), counts)
+        # Position of each output entry inside its own key's slice.
+        within = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        return rows, entities[starts[rows] + within]
 
     def known_entities(
         self, h: int, r: int, t: int, replace_head: bool
     ) -> np.ndarray:
         """Entities ``e`` with ``(e, r, t)`` (head side) or ``(h, r, e)``
         (tail side) in the filter set."""
-        if replace_head:
-            return self._heads.get((r, t), self._empty)
-        return self._tails.get((h, r), self._empty)
+        query = np.array([[h, r, t]], dtype=np.int64)
+        return self.known_pairs(query, replace_head)[1]
+
+
+def _csr(
+    a: np.ndarray, b: np.ndarray, entities: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted distinct ``(a, b)`` keys, their offsets and their entities.
+
+    A final sentinel key, larger than any pair key, owns an empty slice,
+    so a ``searchsorted`` position always indexes both arrays.
+    """
+    keys = _pair_key(a, b)
+    order = np.lexsort((entities, keys))
+    keys = keys[order]
+    distinct, starts = np.unique(keys, return_index=True)
+    return (
+        np.append(distinct, np.iinfo(np.int64).max),
+        np.append(starts, [len(keys), len(keys)]),
+        entities[order],
+    )
 
 
 def _full_ranks_reference(
@@ -141,6 +193,21 @@ def _full_ranks_reference(
     ]
 
 
+#: Bytes of score input (head, relation and tail rows) per block.  Small
+#: enough that a block and the model's elementwise temporaries stay in a
+#: per-core L2 cache; picked by a sweep (see docs/performance.md).
+_BLOCK_BYTES = 1 << 19
+
+
+def _block_rows(entity_table: np.ndarray, relation_table: np.ndarray) -> int:
+    """Score rows per block, derived from the bytes of one score row."""
+    row_bytes = (
+        2 * entity_table.shape[1] * entity_table.itemsize
+        + relation_table.shape[1] * relation_table.itemsize
+    )
+    return max(1, _BLOCK_BYTES // row_bytes)
+
+
 def _ranks_batched(
     model: KGEModel,
     entity_table: np.ndarray,
@@ -148,46 +215,46 @@ def _ranks_batched(
     triples: np.ndarray,
     replace_head: bool,
     filter_index: "FilterIndex | None",
-    block_rows: int = 200_000,
+    block_rows: int | None = None,
 ) -> list[int]:
     """Full-candidate ranks for one corruption side, many queries at once.
 
-    Scores ``(queries x all entities)`` through the model in flat blocks of
-    at most ``block_rows`` rows, avoiding the per-query Python loop.  Ranks
-    are bit-identical to :func:`_full_ranks_reference` (scores are the same
-    per-row arithmetic, only the batching differs).
+    Scores ``(queries x all entities)`` through the model in blocks of
+    whole queries, at most ``block_rows`` score rows each (one query if a
+    query alone is larger; default: :func:`_block_rows`).  The candidate
+    side of a block is the entity table tiled once per query, the fixed
+    side and the relation rows are repeated once per candidate, so no
+    block row is gathered by id.  Ranks are bit-identical to
+    :func:`_full_ranks_reference` (scores are the same per-row
+    arithmetic, only the batching differs).
     """
     n_ent = len(entity_table)
-    ranks: list[int] = []
+    if block_rows is None:
+        block_rows = _block_rows(entity_table, relation_table)
     queries_per_block = max(1, block_rows // n_ent)
-    for start in range(0, len(triples), queries_per_block):
-        chunk = triples[start : start + queries_per_block]
-        q = len(chunk)
-        h = chunk[:, 0]
-        r = chunk[:, 1]
-        t = chunk[:, 2]
-        cand = np.tile(np.arange(n_ent), q)
-        rep = np.repeat(np.arange(q), n_ent)
+    edges = np.append(np.arange(0, len(triples), queries_per_block), len(triples))
+    true_entity = triples[:, 0] if replace_head else triples[:, 2]
+    fixed_entity = triples[:, 2] if replace_head else triples[:, 0]
+    rows = known = np.empty(0, dtype=np.int64)
+    if filter_index is not None:
+        rows, known = filter_index.known_pairs(triples, replace_head)
+        # Filter ids past the table are not candidates; the true entity
+        # is in every filter set but is never dropped.
+        keep = (known < n_ent) & (known != true_entity[rows])
+        rows, known = rows[keep], known[keep]
+    cuts = np.searchsorted(rows, edges)
+    ranks: list[int] = []
+    for start, stop, lo, hi in zip(edges[:-1], edges[1:], cuts[:-1], cuts[1:]):
+        q = stop - start
+        candidates = np.tile(entity_table, (q, 1))
+        fixed = np.repeat(entity_table[fixed_entity[start:stop]], n_ent, axis=0)
+        r_rows = np.repeat(relation_table[triples[start:stop, 1]], n_ent, axis=0)
         if replace_head:
-            h_rows = entity_table[cand]
-            t_rows = entity_table[t[rep]]
+            scores = model.score(candidates, r_rows, fixed).reshape(q, n_ent)
         else:
-            h_rows = entity_table[h[rep]]
-            t_rows = entity_table[cand]
-        r_rows = relation_table[r[rep]]
-        scores = model.score(h_rows, r_rows, t_rows).reshape(q, n_ent)
-
-        true_entity = h if replace_head else t
-        true_scores = scores[np.arange(q), true_entity]
-        if filter_index is not None:
-            for i in range(q):
-                known = filter_index.known_entities(
-                    int(h[i]), int(r[i]), int(t[i]), replace_head
-                )
-                if len(known):
-                    scores[i, known] = -np.inf
-            # The true entity is in every filter set; restore its score.
-            scores[np.arange(q), true_entity] = true_scores
+            scores = model.score(fixed, r_rows, candidates).reshape(q, n_ent)
+        true_scores = scores[np.arange(q), true_entity[start:stop]]
+        scores[rows[lo:hi] - start, known[lo:hi]] = -np.inf
         better = (scores > true_scores[:, None]).sum(axis=1)
         # The true entity never counts (its score is never > itself).
         ranks.extend((1 + better).tolist())
@@ -202,7 +269,7 @@ def _ranks_sampled_batched(
     num_candidates: int,
     filter_index: "FilterIndex | None",
     rng: np.random.Generator,
-    block_rows: int = 200_000,
+    block_rows: int | None = None,
 ) -> tuple[list[int], list[int]]:
     """Sampled-candidate ranks for both sides, scored in blocks.
 
@@ -213,13 +280,16 @@ def _ranks_sampled_batched(
     same order) in a cheap first pass, then batches all model scoring:
     candidate rows are padded to a rectangle with each query's true entity
     (pads fall inside the true-entity mask, so they never affect ranks)
-    and scored in flat blocks of at most ``block_rows`` rows.
+    and scored in flat blocks of at most ``block_rows`` rows (default:
+    :func:`_block_rows`).
 
     Ranks are bit-identical to the per-query reference: per-row score
     arithmetic is unchanged, filtering applies the same ``-inf`` masking,
     and the strictly-greater count ignores every true-entity copy.
     """
     num_entities = len(entity_table)
+    if block_rows is None:
+        block_rows = _block_rows(entity_table, relation_table)
     per_side: dict[bool, list[np.ndarray]] = {True: [], False: []}
     for h, _, t in triples:
         for replace_head in (True, False):
@@ -265,12 +335,22 @@ def _score_padded_candidates(
     for i, c in enumerate(cand_lists):
         cand[i, : len(c)] = c
         cand[i, len(c):] = true_entities[i]  # pads; masked by the true rule
-    ranks: list[int] = []
+    # Sorted rows make the (row, candidate) keys of all queries ascending.
+    cand.sort(axis=1)
     queries_per_block = max(1, block_rows // width)
-    for start in range(0, q_total, queries_per_block):
-        stop = min(start + queries_per_block, q_total)
+    edges = np.append(np.arange(0, q_total, queries_per_block), q_total)
+    dropped = np.empty(0, dtype=np.int64)  # flat (row, column) positions
+    if filter_index is not None:
+        rows, known = filter_index.known_pairs(triples, replace_head)
+        keys = _pair_key(np.repeat(np.arange(q_total), width), cand.ravel())
+        known_keys = _pair_key(rows, known)
+        pos = np.minimum(np.searchsorted(keys, known_keys), len(keys) - 1)
+        # A hit on the true entity is harmless: it never counts below.
+        dropped = pos[keys[pos] == known_keys]
+    cuts = np.searchsorted(dropped, edges * width)
+    ranks: list[int] = []
+    for start, stop, lo, hi in zip(edges[:-1], edges[1:], cuts[:-1], cuts[1:]):
         chunk = cand[start:stop]
-        q = stop - start
         rep = np.repeat(np.arange(start, stop), width)
         flat = chunk.ravel()
         if replace_head:
@@ -280,21 +360,11 @@ def _score_padded_candidates(
             h_rows = entity_table[triples[rep, 0]]
             t_rows = entity_table[flat]
         r_rows = relation_table[triples[rep, 1]]
-        scores = model.score(h_rows, r_rows, t_rows).reshape(q, width)
+        scores = model.score(h_rows, r_rows, t_rows)
+        scores[dropped[lo:hi] - start * width] = -np.inf
+        scores = scores.reshape(stop - start, width)
         block_true = true_scores[start:stop]
         not_true = chunk != true_entities[start:stop, None]
-        if filter_index is not None:
-            for i in range(q):
-                gi = start + i
-                known = filter_index.known_entities(
-                    int(triples[gi, 0]),
-                    int(triples[gi, 1]),
-                    int(triples[gi, 2]),
-                    replace_head,
-                )
-                if len(known):
-                    drop = np.isin(chunk[i], known) & not_true[i]
-                    scores[i, drop] = -np.inf
         better = ((scores > block_true[:, None]) & not_true).sum(axis=1)
         ranks.extend((1 + better).tolist())
     return ranks
@@ -317,7 +387,11 @@ def evaluate_link_prediction(
     Parameters
     ----------
     entity_table / relation_table:
-        Global embedding matrices (from the parameter server).
+        Global embedding matrices (from the parameter server).  Each is
+        read once, as one dense snapshot (``np.asarray``): free for an
+        ndarray or shared-memory table, an unmetered bulk copy for a
+        tiered table, so ranking never reads through the tier's metering
+        and hotness counters.
     filter_set:
         All known true triples (train+valid+test) for filtered ranking;
         ``None`` gives raw ranking.
@@ -332,6 +406,8 @@ def evaluate_link_prediction(
         (``batched=False``), which is kept as the equivalence oracle —
         see :func:`_full_ranks_reference` / :func:`_ranks_sampled_batched`.
     """
+    entity_table = np.asarray(entity_table)
+    relation_table = np.asarray(relation_table)
     rng = make_rng(seed)
     triples = test.triples
     if max_queries is not None and len(triples) > max_queries:

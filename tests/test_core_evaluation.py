@@ -211,7 +211,7 @@ class TestFilterIndex:
                 slow = 1 + int((scores[mask] > true_score).sum())
                 assert fast == slow
 
-    def test_known_entities_lookup(self):
+    def test_known_entities_lookup(self, small_graph, rng):
         from repro.core.evaluation import FilterIndex
 
         index = FilterIndex({(1, 0, 2), (3, 0, 2), (1, 0, 4)})
@@ -220,6 +220,24 @@ class TestFilterIndex:
         tails = index.known_entities(h=1, r=0, t=9, replace_head=False)
         assert sorted(tails.tolist()) == [2, 4]
         assert len(index.known_entities(5, 5, 5, True)) == 0
+        assert len(FilterIndex(set()).known_entities(0, 0, 0, True)) == 0
+
+        # Every CSR slice equals a brute-force scan of the set, for keys
+        # present, keys absent, and ids past every id in the set.
+        filter_set = small_graph.triple_set()
+        index = FilterIndex(filter_set)
+        n_ent, n_rel = small_graph.num_entities, small_graph.num_relations
+        probes = [tuple(int(x) for x in tr) for tr in small_graph.triples[:40]]
+        probes += [
+            tuple(int(x) for x in rng.integers(0, (n_ent + 5, n_rel + 2, n_ent + 5)))
+            for _ in range(60)
+        ]
+        probes += [(n_ent + 3, 0, 0), (0, n_rel + 1, 0), (0, 0, n_ent + 9)]
+        for h, r, t in probes:
+            heads = sorted(e for e, rr, tt in filter_set if (rr, tt) == (r, t))
+            tails = sorted(e for hh, rr, e in filter_set if (hh, rr) == (h, r))
+            assert index.known_entities(h, r, t, True).tolist() == heads
+            assert index.known_entities(h, r, t, False).tolist() == tails
 
 
 class TestBatchedPath:

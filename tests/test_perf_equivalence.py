@@ -46,6 +46,7 @@ from repro.kg.graph import HEAD, REL, TAIL, KnowledgeGraph, TripleIndex
 from repro.models import get_model
 from repro.optim.base import coalesce
 from repro.sampling.negative import NegativeSampler
+from repro.tier import TierConfig, TierPolicy, TierRuntime
 from repro.utils.kernels import scatter_add_rows
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -375,14 +376,31 @@ def eval_setup():
     return model, entity_table, relation_table, graph
 
 
+def _eval_filter_set(graph, filtered):
+    """No filter (``False``), the graph's own triples (``True``), or
+    (``"beyond"``) a set that lacks every triple touching the table's top
+    ten entities, so some query ids lie past the set, and that holds ids
+    past the table's end, as an older or newer filter set can."""
+    if not filtered:
+        return None
+    triples = graph.triple_set()
+    if filtered is True:
+        return triples
+    beyond = set()
+    for i, (h, r, t) in enumerate(graph.triples[:4].tolist()):
+        beyond |= {(h, r, 40 + i), (45 + i, r, t), (h, 9, t)}
+    return {(h, r, t) for h, r, t in triples if h < 30 and t < 30} | beyond
+
+
 class TestEvaluationEquivalence:
     @pytest.mark.parametrize("replace_head", [True, False])
-    @pytest.mark.parametrize("filtered", [True, False])
+    @pytest.mark.parametrize("filtered", [True, False, "beyond"])
     def test_full_ranks_batched_vs_reference(
         self, eval_setup, replace_head, filtered
     ):
         model, ent, rel, graph = eval_setup
-        filter_index = FilterIndex(graph.triple_set()) if filtered else None
+        filter_set = _eval_filter_set(graph, filtered)
+        filter_index = FilterIndex(filter_set) if filtered else None
         ref = _full_ranks_reference(
             model, ent, rel, graph.triples, replace_head, filter_index
         )
@@ -390,24 +408,25 @@ class TestEvaluationEquivalence:
             model, ent, rel, graph.triples, replace_head, filter_index
         )
         assert vec == ref
-        # Tiny blocks exercise the chunking edges too.
-        assert (
-            _ranks_batched(
-                model, ent, rel, graph.triples, replace_head, filter_index,
-                block_rows=64,
+        # Block sizes that are no multiple of the 40 entities (one query,
+        # two, and seven a block, the last block short) hit the edges.
+        for block_rows in (64, 100, 300):
+            assert (
+                _ranks_batched(
+                    model, ent, rel, graph.triples, replace_head, filter_index,
+                    block_rows=block_rows,
+                )
+                == ref
             )
-            == ref
-        )
 
     @pytest.mark.parametrize("num_candidates", [None, 10])
-    @pytest.mark.parametrize("filtered", [True, False])
+    @pytest.mark.parametrize("filtered", [True, False, "beyond"])
     def test_evaluate_batched_vs_reference_loop(
         self, eval_setup, num_candidates, filtered
     ):
         model, ent, rel, graph = eval_setup
-        filter_set = graph.triple_set() if filtered else None
         kwargs = dict(
-            filter_set=filter_set,
+            filter_set=_eval_filter_set(graph, filtered),
             max_queries=25,
             num_candidates=num_candidates,
             seed=9,
@@ -419,6 +438,48 @@ class TestEvaluationEquivalence:
             model, ent, rel, graph, batched=False, **kwargs
         )
         assert vec == ref  # dataclass equality: exact float comparison
+
+    @pytest.mark.parametrize("num_candidates", [None, 10])
+    def test_tiered_tables_rank_their_dense_snapshot(
+        self, eval_setup, num_candidates, tmp_path
+    ):
+        model, ent, rel, graph = eval_setup
+        policy = TierPolicy(
+            block_rows=8, pass_rows=10**9, cold_after_passes=1, cold_codec="int8"
+        )
+        runtime = TierRuntime(
+            {"entity": ent, "relation": rel},
+            TierConfig(policy=policy, directory=tmp_path),
+        )
+        tables = runtime.tables
+        # Idle passes quantize every block; reads then promote two back.
+        runtime.rebalance()
+        runtime.rebalance()
+        tables["entity"].read(np.arange(16))
+        runtime.rebalance()
+        before = {k: t.report() for k, t in tables.items()}
+        assert before["entity"]["hot_blocks"] and before["entity"]["cold_blocks"]
+        seconds = runtime.clock.elapsed
+        kwargs = dict(
+            filter_set=graph.triple_set(),
+            max_queries=25,
+            num_candidates=num_candidates,
+            seed=9,
+        )
+        tiered = evaluate_link_prediction(
+            model, tables["entity"], tables["relation"], graph, **kwargs
+        )
+        dense = evaluate_link_prediction(
+            model,
+            tables["entity"].materialize(),
+            tables["relation"].materialize(),
+            graph,
+            **kwargs,
+        )
+        assert tiered == dense
+        assert {k: t.report() for k, t in tables.items()} == before
+        assert runtime.clock.elapsed == seconds
+        runtime.close()
 
 
 # --------------------------------------------------------------- LFU policy

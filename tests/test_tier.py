@@ -583,6 +583,40 @@ class TestTrainerIntegration:
         assert result.memory_report["tables"]["entity"]["hit_ratio"] >= 0.0
         trainer.server.store.close()
 
+    def test_per_epoch_eval_leaves_the_tier_alone(self, small_graph, small_split, tmp_path):
+        """Eval ranks a dense snapshot of the tables: its reads are neither
+        metered nor counted as hotness, so they cannot steer promotion
+        (nor, through the lossy cold tier, training)."""
+        from repro.core.baselines import DGLKETrainer
+
+        def run(name, **eval_kw):
+            config = tier_config(
+                epochs=4,
+                backing="tiered",
+                # A quarter of the entity table (dim 8, float64).
+                memory_budget=small_graph.num_entities * 8 * 8 // 4,
+                tier_block_rows=16,
+                tier_dir=str(tmp_path / name),
+            )
+            trainer = DGLKETrainer(config)
+            result = trainer.train(small_split.train, **eval_kw)
+            trainer.server.store.close()
+            return result
+
+        quiet = run("quiet")
+        evaluated = run(
+            "eval",
+            eval_graph=small_split.test,
+            filter_set=small_graph.triple_set(),
+            eval_every=1,
+            eval_max_queries=50,
+            eval_candidates=None,
+        )
+        assert evaluated.history.points[-1].metrics
+        assert evaluated.memory_report == quiet.memory_report
+        assert evaluated.tier_time == quiet.tier_time
+        assert evaluated.history.points[-1].loss == quiet.history.points[-1].loss
+
     def test_config_rejects_budget_without_tiering(self):
         with pytest.raises(ValueError, match="memory_budget requires"):
             tier_config(memory_budget="64M")
